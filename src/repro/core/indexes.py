@@ -14,7 +14,8 @@ same measurement).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
@@ -27,12 +28,22 @@ class IndexSet:
     version_to_chunks: dict   # vid -> sorted list[int]
     key_to_chunks: dict       # key -> sorted list[int]
     chunk_bytes: dict         # chunk -> bytes
+    sorted_keys: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.sorted_keys = sorted(self.key_to_chunks)
 
     def chunks_for_version(self, vid: int) -> list[int]:
         return self.version_to_chunks.get(int(vid), [])
 
     def chunks_for_key(self, key: int) -> list[int]:
         return self.key_to_chunks.get(int(key), [])
+
+    def chunks_for_key_range(self, key_lo: int, key_hi: int) -> set[int]:
+        """Union of the chunk lists of keys in ``[key_lo, key_hi]``."""
+        lo = bisect_left(self.sorted_keys, key_lo)
+        hi = bisect_right(self.sorted_keys, key_hi)
+        return {c for k in self.sorted_keys[lo:hi] for c in self.key_to_chunks[k]}
 
     def sizes_bytes(self) -> dict:
         """Approximate in-memory footprint of each projection, counting 8

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from ..kvs.cost import CostModel, QUERY_MODEL
 from ..kvs.store import ChunkStore
 from .indexes import IndexSet
+
+
+RECORD_COLS = ("key", "origin", "size", "payload")
 
 
 @dataclass
@@ -40,22 +43,25 @@ class QueryEngine:
         self.indexes = indexes
         self.cost = cost
 
-    def _fetch(self, chunk_ids: list[int]) -> tuple[DataFrame, DataFrame, QueryStats]:
+    def _fetch(self, chunk_ids: list[int]) -> tuple[DataFrame, QueryStats]:
         nbytes = sum(self.indexes.chunk_bytes.get(c, 0) for c in chunk_ids)
         stats = QueryStats(span=len(chunk_ids), bytes=nbytes,
                            sim_time_s=self.cost.retrieval_time(len(chunk_ids), nbytes))
-        recs = self.store.get_chunks(self.spark, chunk_ids)
-        maps = self.store.get_chunk_maps(self.spark, chunk_ids)
-        return recs, maps, stats
+        return self.store.get_chunks(self.spark, chunk_ids), stats
+
+    def _extract(self, chunk_ids: list[int],
+                 member: Column) -> tuple[DataFrame, QueryStats]:
+        """Fetch ``chunk_ids`` and keep the records whose chunk-map rows
+        satisfy ``member``."""
+        recs, stats = self._fetch(chunk_ids)
+        wanted = (self.store.get_chunk_maps(self.spark, chunk_ids)
+                  .where(member).select("key", "origin"))
+        return recs.join(wanted, ["key", "origin"]).select(*RECORD_COLS), stats
 
     def full_version(self, vid: int) -> tuple[DataFrame, QueryStats]:
         """Q1: all records belonging to version ``vid``."""
-        ids = self.indexes.chunks_for_version(vid)
-        recs, maps, stats = self._fetch(ids)
-        wanted = maps.where(F.col("vid") == vid).select("key", "origin")
-        out = recs.join(wanted, ["key", "origin"]).select(
-            "key", "origin", "size", "payload")
-        return out, stats
+        return self._extract(self.indexes.chunks_for_version(vid),
+                             F.col("vid") == vid)
 
     def range_query(self, vid: int, key_lo: int,
                     key_hi: int) -> tuple[DataFrame, QueryStats]:
@@ -64,35 +70,21 @@ class QueryEngine:
         Index-ANDing: intersect the version's chunk list with the union
         of the chunk lists of keys in range.
         """
-        v_chunks = set(self.indexes.chunks_for_version(vid))
-        k_chunks: set[int] = set()
-        for key, chunks in self.indexes.key_to_chunks.items():
-            if key_lo <= key <= key_hi:
-                k_chunks.update(chunks)
-        ids = sorted(v_chunks & k_chunks)
-        recs, maps, stats = self._fetch(ids)
-        wanted = (maps.where(F.col("vid") == vid)
-                  .where(F.col("key").between(key_lo, key_hi))
-                  .select("key", "origin"))
-        out = recs.join(wanted, ["key", "origin"]).select(
-            "key", "origin", "size", "payload")
-        return out, stats
+        ids = sorted(set(self.indexes.chunks_for_version(vid))
+                     & self.indexes.chunks_for_key_range(key_lo, key_hi))
+        return self._extract(ids, (F.col("vid") == vid)
+                             & F.col("key").between(key_lo, key_hi))
 
     def record_evolution(self, key: int) -> tuple[DataFrame, QueryStats]:
-        """Q3: every distinct record ever stored under ``key``."""
-        ids = self.indexes.chunks_for_key(key)
-        recs, _maps, stats = self._fetch(ids)
-        out = recs.where(F.col("key") == key).select(
-            "key", "origin", "size", "payload")
-        return out, stats
+        """Q3: every distinct record ever stored under ``key``.
+
+        Every record of ``key`` is wanted, so the chunk maps are not read.
+        """
+        recs, stats = self._fetch(self.indexes.chunks_for_key(key))
+        return recs.where(F.col("key") == key).select(*RECORD_COLS), stats
 
     def record(self, key: int, vid: int) -> tuple[DataFrame, QueryStats]:
         """Point query: the record of ``key`` live in version ``vid``."""
         ids = sorted(set(self.indexes.chunks_for_version(vid))
                      & set(self.indexes.chunks_for_key(key)))
-        recs, maps, stats = self._fetch(ids)
-        wanted = (maps.where((F.col("vid") == vid) & (F.col("key") == key))
-                  .select("key", "origin"))
-        out = recs.join(wanted, ["key", "origin"]).select(
-            "key", "origin", "size", "payload")
-        return out, stats
+        return self._extract(ids, (F.col("vid") == vid) & (F.col("key") == key))

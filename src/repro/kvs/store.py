@@ -1,11 +1,19 @@
 """ChunkStore: the simulated distributed KVS (DESIGN §2).
 
 Chunks are the unit of storage (§2.4). Each chunk's records live in a
-Parquet dataset partitioned by ``chunk`` — a chunk-id lookup becomes a
-partition-pruned scan, the columnar analogue of a KVS ``get``. The
-per-chunk *chunk map* (which versions each record in the chunk belongs
-to) is co-stored the same way, as the paper stores it alongside the
-chunk. Chunks are distributed over ``n_nodes`` simulated servers by
+Parquet dataset partitioned by ``chunk``. The per-chunk *chunk map*
+(which versions each record in the chunk belongs to) is co-stored the
+same way, as the paper stores it alongside the chunk.
+
+A store opens each of its two datasets once: the first get after a
+``write`` lists the partition directories and the store keeps the
+resulting DataFrame. A get is a filter on ``chunk`` over that held
+DataFrame, which Spark prunes against the file index it already holds —
+the columnar analogue of a KVS ``get``, with no re-listing. ``write``
+drops the held DataFrames. A handle does not see writes made through
+another handle on the same path; open a new ``ChunkStore`` to read them.
+
+Chunks are distributed over ``n_nodes`` simulated servers by
 ``chunk % n_nodes``; every ``get_chunks`` records request/byte traffic so
 experiments can charge the calibrated :class:`~repro.kvs.cost.CostModel`.
 """
@@ -43,6 +51,7 @@ class ChunkStore:
         self.n_nodes = n_nodes
         self.stats = KVSStats()
         self._chunk_bytes: dict[int, int] = {}
+        self._frames: dict[str, DataFrame] = {}   # dataset path -> opened DataFrame
 
     @property
     def records_path(self) -> str:
@@ -60,6 +69,7 @@ class ChunkStore:
         ``chunk_map``: (chunk, vid, key, origin) — the per-chunk slice of
         the 3-D mapping M (§2.4).
         """
+        self._frames.clear()
         (records_with_chunk.write.mode("overwrite")
          .partitionBy("chunk").parquet(self.records_path))
         if chunk_map is not None:
@@ -72,17 +82,21 @@ class ChunkStore:
     def chunk_bytes(self) -> dict[int, int]:
         return dict(self._chunk_bytes)
 
+    def _open(self, spark: SparkSession, path: str) -> DataFrame:
+        """The dataset at ``path``, listed on first use after a ``write``."""
+        if path not in self._frames:
+            self._frames[path] = spark.read.parquet(path)
+        return self._frames[path]
+
     def get_chunks(self, spark: SparkSession, chunk_ids) -> DataFrame:
-        """Fetch chunks by id (partition-pruned read); account traffic."""
+        """Fetch chunks by id (partition-pruned filter); account traffic."""
         ids = [int(c) for c in chunk_ids]
         self.stats.record(ids, self._chunk_bytes, self.n_nodes)
-        df = spark.read.parquet(self.records_path)
-        return df.where(F.col("chunk").isin(ids))
+        return self._open(spark, self.records_path).where(F.col("chunk").isin(ids))
 
     def get_chunk_maps(self, spark: SparkSession, chunk_ids) -> DataFrame:
         ids = [int(c) for c in chunk_ids]
-        df = spark.read.parquet(self.maps_path)
-        return df.where(F.col("chunk").isin(ids))
+        return self._open(spark, self.maps_path).where(F.col("chunk").isin(ids))
 
     def reset_stats(self) -> None:
         self.stats = KVSStats()

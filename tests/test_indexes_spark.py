@@ -36,6 +36,19 @@ class TestProjections:
             assert idx.chunks_for_key(key) == sorted(
                 grp["chunk"].unique().tolist())
 
+    def test_key_range_matches_scan(self, built):
+        # The bisect lookup returns the chunks a scan of every key finds,
+        # for every range over and around the key domain, empty ones
+        # (lo > hi, no key in range) included.
+        *_, idx = built
+        keys = sorted(idx.key_to_chunks)
+        bounds = range(keys[0] - 2, keys[-1] + 3)
+        for lo in bounds:
+            for hi in bounds:
+                scan = {c for k, cs in idx.key_to_chunks.items()
+                        if lo <= k <= hi for c in cs}
+                assert idx.chunks_for_key_range(lo, hi) == scan, (lo, hi)
+
     def test_unknown_ids_empty(self, built):
         *_, idx = built
         assert idx.chunks_for_version(10**6) == []

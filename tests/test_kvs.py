@@ -52,6 +52,45 @@ class TestWriteRead:
         assert st.chunk_bytes() == {int(k): int(v) for k, v in exp.items()}
 
 
+class TestHeldHandle:
+    def test_rewrite_serves_new_layout(self, spark, tmp_path):
+        # The handle opened by the first get must not outlive the next
+        # write: gets after it see the new partitions only.
+        def layout(chunk_of):
+            recs = spark.createDataFrame(
+                [(k, 0, 10, c) for k, c in chunk_of.items()],
+                "key long, origin long, size long, chunk long")
+            maps = recs.selectExpr("chunk", "0L AS vid", "key", "origin")
+            return recs, maps
+
+        st = ChunkStore(tmp_path, n_nodes=2)
+        st.write(*layout({0: 0, 1: 0, 2: 1}))
+        assert st.get_chunks(spark, [0, 1]).count() == 3
+        assert st.get_chunk_maps(spark, [0, 1]).count() == 3
+        st.write(*layout({0: 5, 1: 6, 2: 6, 3: 6}))
+        got = st.get_chunks(spark, [0, 1, 5, 6]).toPandas()
+        assert sorted(zip(got.chunk, got.key)) == [(5, 0), (6, 1), (6, 2), (6, 3)]
+        maps = st.get_chunk_maps(spark, [0, 1, 5, 6]).toPandas()
+        assert sorted(zip(maps.chunk, maps.key)) == [(5, 0), (6, 1), (6, 2), (6, 3)]
+        assert st.chunk_bytes() == {5: 10, 6: 30}
+
+    def test_fresh_handle_on_existing_path(self, spark, store):
+        g, ds, asg, st = store
+        ids = sorted(asg["chunk"].unique().tolist())[:2]
+        fresh = ChunkStore(st.path, n_nodes=4)
+        got = fresh.get_chunks(spark, ids).toPandas()
+        exp = asg[asg["chunk"].isin(ids)]
+        assert set(zip(got.key, got.origin)) == set(zip(exp.key, exp.origin))
+        assert fresh.get_chunk_maps(spark, ids).count() > 0
+
+    def test_empty_get(self, spark, store):
+        g, ds, asg, st = store
+        st.reset_stats()
+        assert st.get_chunks(spark, []).count() == 0
+        assert st.get_chunk_maps(spark, []).count() == 0
+        assert st.stats.n_requests == 0 and st.stats.n_bytes == 0
+
+
 class TestAccounting:
     def test_request_and_byte_counters(self, spark, store):
         g, ds, asg, st = store

@@ -30,6 +30,25 @@ def engine(spark, tmp_path_factory):
     return g, ds, mem_p, asg, qe
 
 
+class TestAccounting:
+    @pytest.mark.parametrize("kind", ["q1", "q2", "q3", "point"])
+    def test_query_bytes_equal_store_bytes(self, engine, kind):
+        # QueryStats.bytes (from IndexSet.chunk_bytes) and the store's
+        # byte counter (from ChunkStore's own sizes) are two sources of
+        # the same figure; every query must move them by the same amount.
+        g, ds, mem_p, asg, qe = engine
+        row = mem_p[mem_p.vid != mem_p.origin].iloc[0]
+        key, vid = int(row.key), int(row.vid)
+        call = {"q1": lambda: qe.full_version(vid),
+                "q2": lambda: qe.range_query(vid, 5, 30),
+                "q3": lambda: qe.record_evolution(key),
+                "point": lambda: qe.record(key, vid)}[kind]
+        before = qe.store.stats.n_bytes
+        _, stats = call()
+        assert stats.span > 0
+        assert stats.bytes == qe.store.stats.n_bytes - before
+
+
 class TestFullVersion:
     @pytest.mark.parametrize("vid", [0, 7, 24])
     def test_q1_matches_oracle(self, engine, vid):
