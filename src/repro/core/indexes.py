@@ -9,14 +9,21 @@ on the application server:
 
 Both are built by one Spark aggregation over membership ⋈ assignment and
 collected into driver hash maps — the paper uses in-memory hashmaps too
-and reports their sizes (we expose :func:`index_sizes_bytes` for the
-same measurement).
+and reports their sizes (we expose :meth:`IndexSet.sizes_bytes` for the
+same measurement). :meth:`IndexSet.from_layout` builds the same maps on
+the driver from a pandas layout, for the experiments.
+
+:class:`IndexSet` is the one query planner: it turns each query into the
+chunk ids to fetch, ANDing the two projections for range and record
+queries (a fetched chunk may then hold no matching record — the
+lossy-projection artifact the paper notes).
 """
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -33,6 +40,26 @@ class IndexSet:
     def __post_init__(self):
         self.sorted_keys = sorted(self.key_to_chunks)
 
+    @classmethod
+    def from_layout(cls, membership: pd.DataFrame, assignment: pd.DataFrame,
+                    units: pd.DataFrame) -> IndexSet:
+        """Driver-side build from a pandas layout.
+
+        ``membership`` is ``(vid, key, origin)``, ``assignment`` places
+        each record ``(key, origin)`` in a ``chunk``, and ``units`` are
+        the partitioner's items ``(size, chunk)``: the records
+        themselves, or the compressed sub-chunks when k > 1, so
+        ``chunk_bytes`` is what a fetch moves.
+        """
+        placed = assignment[["key", "origin", "chunk"]]
+        return cls(
+            version_to_chunks=_chunk_lists(
+                membership.merge(placed, on=["key", "origin"]), "vid"),
+            key_to_chunks=_chunk_lists(placed, "key"),
+            chunk_bytes={int(c): int(b) for c, b in
+                         units.groupby("chunk")["size"].sum().items()},
+        )
+
     def chunks_for_version(self, vid: int) -> list[int]:
         return self.version_to_chunks.get(int(vid), [])
 
@@ -45,12 +72,28 @@ class IndexSet:
         hi = bisect_right(self.sorted_keys, key_hi)
         return {c for k in self.sorted_keys[lo:hi] for c in self.key_to_chunks[k]}
 
+    def chunks_for_range(self, vid: int, key_lo: int, key_hi: int) -> list[int]:
+        """Q2 plan: the version's chunks that hold a key in range."""
+        return sorted(set(self.chunks_for_version(vid))
+                      & self.chunks_for_key_range(key_lo, key_hi))
+
+    def chunks_for_record(self, key: int, vid: int) -> list[int]:
+        """Point plan: the version's chunks that hold ``key``."""
+        return sorted(set(self.chunks_for_version(vid))
+                      & set(self.chunks_for_key(key)))
+
     def sizes_bytes(self) -> dict:
         """Approximate in-memory footprint of each projection, counting 8
         bytes per stored id (adjacency-list representation, §2.4)."""
         v2c = sum(1 + len(v) for v in self.version_to_chunks.values()) * 8
         k2c = sum(1 + len(v) for v in self.key_to_chunks.values()) * 8
         return {"version_to_chunks": v2c, "key_to_chunks": k2c}
+
+
+def _chunk_lists(df: pd.DataFrame, by: str) -> dict:
+    """``by`` value -> sorted distinct chunks of its rows."""
+    return {int(k): sorted(cs.tolist())
+            for k, cs in df.groupby(by)["chunk"].unique().items()}
 
 
 def chunk_map_df(membership: DataFrame, assignment: DataFrame) -> DataFrame:

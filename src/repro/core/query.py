@@ -1,15 +1,15 @@
 """Query processing (§2.4): Q1 full version, Q2 range, Q3 evolution,
 and single-record retrieval, over the simulated KVS.
 
-Each query consults the lossy projections to find candidate chunks,
-fetches those chunks from the :class:`~repro.kvs.store.ChunkStore`
-(request/byte traffic is accounted there), then uses the chunk maps to
-extract exactly the requested records. Range/record queries AND the two
-projections (index-ANDing); a fetched chunk may turn out to hold no
-matching record — the lossy-projection artifact the paper notes.
+Each query asks the :class:`~repro.core.indexes.IndexSet` planner for
+its candidate chunks, fetches those chunks from the
+:class:`~repro.kvs.store.ChunkStore` (request/byte traffic is accounted
+there), then uses the chunk maps to extract exactly the requested
+records.
 
 Every method returns ``(DataFrame, QueryStats)`` where the stats carry
-the span, bytes moved, and the calibrated simulated time.
+the span, bytes moved, and the calibrated simulated time, as charged by
+:func:`query_stats` — which the experiments call on the same plans.
 """
 from __future__ import annotations
 
@@ -33,6 +33,14 @@ class QueryStats:
     sim_time_s: float  # calibrated retrieval time
 
 
+def query_stats(chunk_ids: list[int], chunk_bytes: dict,
+                cost: CostModel) -> QueryStats:
+    """Charge a plan: fetching ``chunk_ids`` sized by ``chunk_bytes``."""
+    nbytes = sum(chunk_bytes.get(c, 0) for c in chunk_ids)
+    return QueryStats(span=len(chunk_ids), bytes=nbytes,
+                      sim_time_s=cost.retrieval_time(len(chunk_ids), nbytes))
+
+
 class QueryEngine:
     """RStore's query processing module over a populated ChunkStore."""
 
@@ -44,10 +52,8 @@ class QueryEngine:
         self.cost = cost
 
     def _fetch(self, chunk_ids: list[int]) -> tuple[DataFrame, QueryStats]:
-        nbytes = sum(self.indexes.chunk_bytes.get(c, 0) for c in chunk_ids)
-        stats = QueryStats(span=len(chunk_ids), bytes=nbytes,
-                           sim_time_s=self.cost.retrieval_time(len(chunk_ids), nbytes))
-        return self.store.get_chunks(self.spark, chunk_ids), stats
+        return (self.store.get_chunks(self.spark, chunk_ids),
+                query_stats(chunk_ids, self.indexes.chunk_bytes, self.cost))
 
     def _extract(self, chunk_ids: list[int],
                  member: Column) -> tuple[DataFrame, QueryStats]:
@@ -65,14 +71,9 @@ class QueryEngine:
 
     def range_query(self, vid: int, key_lo: int,
                     key_hi: int) -> tuple[DataFrame, QueryStats]:
-        """Q2: records of ``vid`` with ``key_lo <= key <= key_hi``.
-
-        Index-ANDing: intersect the version's chunk list with the union
-        of the chunk lists of keys in range.
-        """
-        ids = sorted(set(self.indexes.chunks_for_version(vid))
-                     & self.indexes.chunks_for_key_range(key_lo, key_hi))
-        return self._extract(ids, (F.col("vid") == vid)
+        """Q2: records of ``vid`` with ``key_lo <= key <= key_hi``."""
+        return self._extract(self.indexes.chunks_for_range(vid, key_lo, key_hi),
+                             (F.col("vid") == vid)
                              & F.col("key").between(key_lo, key_hi))
 
     def record_evolution(self, key: int) -> tuple[DataFrame, QueryStats]:
@@ -85,6 +86,5 @@ class QueryEngine:
 
     def record(self, key: int, vid: int) -> tuple[DataFrame, QueryStats]:
         """Point query: the record of ``key`` live in version ``vid``."""
-        ids = sorted(set(self.indexes.chunks_for_version(vid))
-                     & set(self.indexes.chunks_for_key(key)))
-        return self._extract(ids, (F.col("vid") == vid) & (F.col("key") == key))
+        return self._extract(self.indexes.chunks_for_record(key, vid),
+                             (F.col("vid") == vid) & (F.col("key") == key))

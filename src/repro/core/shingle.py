@@ -8,7 +8,8 @@ other — and packed into fixed-size chunks by a running byte-sum window.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .chunking import pack_window
@@ -31,3 +32,19 @@ def shingle_partition(membership: DataFrame, C: int, *, l: int = 4,
     order = [F.col(f"sh{i}") for i in range(l)] + [F.col("key"), F.col("origin")]
     packed = pack_window(shingles, C, order)
     return packed.select("key", "origin", "size", "chunk")
+
+
+def shingle_subchunks(spark: SparkSession, sc_records: pd.DataFrame,
+                      sc_region: pd.DataFrame, C: int) -> pd.DataFrame:
+    """SHINGLE over Algorithm 5 sub-chunks (``sc_dataset``'s records and
+    exact regions): each sub-chunk is one record ``(key=sc, origin=0)``
+    in exactly the versions of its region. Returns the assignment
+    ``(key, origin, size, chunk)`` as a pandas frame, like the other
+    partitioners.
+    """
+    reg = sc_region.merge(
+        sc_records.rename(columns={"key": "sc"})[["sc", "size"]],
+        on="sc").rename(columns={"sc": "key"})
+    reg["origin"] = 0
+    membership = spark.createDataFrame(reg[["vid", "key", "origin", "size"]])
+    return shingle_partition(membership, C).toPandas()

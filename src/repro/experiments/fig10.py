@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..core.bottom_up import bottom_up_partition
-from ..core.shingle import shingle_partition
+from ..core.shingle import shingle_subchunks
 from ..core.span import total_version_span_pd
 from ..core.subchunks import build_subchunks, compress_subchunks, sc_dataset
 from ..core.traversal import dfs_partition
@@ -24,12 +24,6 @@ from ..versioned.membership import membership_pd
 
 K_VALUES = (1, 2, 5, 10, 25, 50)
 P_D_VALUES = (0.10, 0.05, 0.01)
-
-
-def _record_span(mem_p, sc_assign, chunk_of_sc) -> int:
-    rec = sc_assign.merge(chunk_of_sc, on="sc")
-    return int(mem_p.merge(rec, on=["key", "origin"])
-               .groupby("vid")["chunk"].nunique().sum())
 
 
 def run_dataset(spark: SparkSession | None, name: str, *,
@@ -54,27 +48,12 @@ def run_dataset(spark: SparkSession | None, name: str, *,
                 elif algo == "SHINGLE":
                     if spark is None:
                         continue
-                    # Sub-chunk membership: exact region per sub-chunk.
-                    reg = screg.merge(
-                        screc.rename(columns={"key": "sc"})[["sc", "size"]],
-                        on="sc").rename(columns={"sc": "key"})
-                    reg["origin"] = 0
-                    mem_sc = spark.createDataFrame(
-                        reg[["vid", "key", "origin", "size"]])
-                    asg = (shingle_partition(mem_sc, C)
-                           .select("key", "origin", "chunk").toPandas())
-                    asg = asg.rename(columns={"key": "sc"}).drop(
-                        columns="origin")
-                    rows.append({
-                        "dataset": name, "p_d_pct": int(p_d * 100), "k": k,
-                        "algorithm": algo, "compression_ratio": round(ratio, 2),
-                        "total_span": _record_span(mem_p, sc, asg),
-                        "n_chunks": int(asg["chunk"].nunique())})
-                    continue
+                    asg = shingle_subchunks(spark, screc, screg, C)
                 chunk_of = asg.rename(columns={"key": "sc"})[["sc", "chunk"]]
                 rows.append({
                     "dataset": name, "p_d_pct": int(p_d * 100), "k": k,
                     "algorithm": algo, "compression_ratio": round(ratio, 2),
-                    "total_span": _record_span(mem_p, sc, chunk_of),
+                    "total_span": total_version_span_pd(
+                        mem_p, sc.merge(chunk_of, on="sc")),
                     "n_chunks": int(asg["chunk"].nunique())})
     return pd.DataFrame(rows)

@@ -2,12 +2,17 @@
 version), Q2 (partial version) and Q3 (record evolution), per algorithm
 and max sub-chunk size k, plus the SUBCHUNK and DELTA baselines.
 
-Times are charged by the calibrated QUERY cost model over the *exact*
-spans/bytes of each layout (requests + bytes + sequential per-chunk
+Each layout is indexed with :meth:`IndexSet.from_layout` and every query
+is charged on the plan :class:`~repro.core.query.QueryEngine` runs: the
+planner's chunk ids priced by :func:`~repro.core.query.query_stats` under
+the calibrated QUERY cost model (requests + bytes + sequential per-chunk
 processing — the dominant terms in the paper's measurements; DESIGN §2).
-Queries are drawn from a seeded random workload. DELTA appears only at
-k=1 (no cross-version record compression); its Q3 must reconstruct every
-version, which is why the paper calls it impractical.
+Q2 is index-ANDed, so it fetches every chunk of the version that holds
+*some* key in range. Queries are drawn from a seeded random workload.
+DELTA appears only at k=1 (no cross-version record compression); it
+reconstructs versions along the root path, not through an index plan,
+and its Q3 must reconstruct every version, which is why the paper calls
+it impractical.
 """
 from __future__ import annotations
 
@@ -15,10 +20,12 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from ..core.baselines import delta_partition, delta_version_spans
+from ..core.baselines import (delta_partition, delta_version_spans,
+                              subchunk_partition)
 from ..core.bottom_up import bottom_up_partition
-from ..core.shingle import shingle_partition
-from ..core.span import total_version_span_pd
+from ..core.indexes import IndexSet
+from ..core.query import query_stats
+from ..core.shingle import shingle_subchunks
 from ..core.subchunks import build_subchunks, compress_subchunks, sc_dataset
 from ..core.traversal import dfs_partition
 from ..kvs.cost import QUERY_MODEL, CostModel
@@ -29,35 +36,25 @@ K_VALUES = (1, 5, 20, 50)
 N_QUERIES = 20
 
 
-def _query_times(mem_p, rec_assign, chunk_bytes, *, rng,
-                 model: CostModel) -> dict:
-    """Average simulated Q1/Q2/Q3 times over a random workload."""
-    joined = mem_p.merge(rec_assign, on=["key", "origin"])
-    vids = rng.choice(joined["vid"].unique(), N_QUERIES)
-    keys = rng.choice(joined["key"].unique(), N_QUERIES)
-    q1, q2, q3 = [], [], []
-    by_vid = joined.groupby("vid")
-    key_chunks = rec_assign.merge(
-        chunk_bytes.rename("cb"), left_on="chunk", right_index=True)
-    by_key = key_chunks.groupby("key")
+def _ranges(vids, max_key: pd.Series, rng) -> list[tuple]:
+    """Q2 workload: a random 10%-of-keyspace range per queried version."""
+    out = []
     for v in vids:
-        grp = by_vid.get_group(v)
-        chunks = grp["chunk"].unique()
-        nbytes = int(chunk_bytes.loc[chunks].sum())
-        q1.append(model.retrieval_time(len(chunks), nbytes))
-        # Q2: a random 10%-of-keyspace range of this version.
-        lo = rng.integers(0, max(1, int(grp["key"].max())))
-        hi = lo + max(1, int(0.1 * grp["key"].max()))
-        sub = grp[grp["key"].between(lo, hi)]["chunk"].unique()
-        nbytes2 = int(chunk_bytes.loc[sub].sum())
-        q2.append(model.retrieval_time(len(sub), nbytes2))
-    for k in keys:
-        grp = by_key.get_group(k)
-        chunks = grp["chunk"].unique()
-        nbytes = int(chunk_bytes.loc[chunks].sum())
-        q3.append(model.retrieval_time(len(chunks), nbytes))
-    return {"q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q2)),
-            "q3_s": float(np.mean(q3))}
+        top = max_key.loc[v]
+        lo = rng.integers(0, max(1, int(top)))
+        out.append((lo, lo + max(1, int(0.1 * top))))
+    return out
+
+
+def _mean_times(idx: IndexSet, vids, ranges, keys, model: CostModel) -> dict:
+    """Average simulated Q1/Q2/Q3 times of the planner's plans."""
+    def mean(plans) -> float:
+        return float(np.mean([query_stats(ids, idx.chunk_bytes, model).sim_time_s
+                              for ids in plans]))
+    return {"q1_s": mean(idx.chunks_for_version(v) for v in vids),
+            "q2_s": mean(idx.chunks_for_range(v, lo, hi)
+                         for v, (lo, hi) in zip(vids, ranges)),
+            "q3_s": mean(idx.chunks_for_key(k) for k in keys)}
 
 
 def run_dataset(spark: SparkSession | None, name: str, *,
@@ -67,6 +64,7 @@ def run_dataset(spark: SparkSession | None, name: str, *,
     ds = make(name, scale=scale, with_payload=True, p_d=0.05)
     g = ds.graph
     mem_p = membership_pd(g, ds.records, ds.kills)
+    max_key = mem_p.groupby("vid")["key"].max()
     rng = np.random.default_rng(seed)
 
     for k in k_values:
@@ -78,20 +76,16 @@ def run_dataset(spark: SparkSession | None, name: str, *,
             "DEPTHFIRST": dfs_partition(g, screc, C),
         }
         if spark is not None:
-            reg = screg.merge(screc.rename(columns={"key": "sc"})[
-                ["sc", "size"]], on="sc").rename(columns={"sc": "key"})
-            reg["origin"] = 0
-            mem_sc = spark.createDataFrame(reg[["vid", "key", "origin", "size"]])
-            algos["SHINGLE"] = (shingle_partition(mem_sc, C)
-                                .select("key", "origin", "size", "chunk")
-                                .toPandas())
+            algos["SHINGLE"] = shingle_subchunks(spark, screc, screg, C)
         for algo, asg in algos.items():
             rec_assign = sc.merge(
                 asg.rename(columns={"key": "sc"})[["sc", "chunk"]], on="sc")
-            chunk_bytes = asg.groupby("chunk")["size"].sum()
-            t = _query_times(mem_p, rec_assign, chunk_bytes, rng=rng,
-                             model=model)
-            rows.append({"dataset": name, "k": k, "algorithm": algo, **t})
+            idx = IndexSet.from_layout(mem_p, rec_assign, asg)
+            vids = rng.choice(mem_p["vid"].unique(), N_QUERIES)
+            keys = rng.choice(mem_p["key"].unique(), N_QUERIES)
+            rows.append({"dataset": name, "k": k, "algorithm": algo,
+                         **_mean_times(idx, vids, _ranges(vids, max_key, rng),
+                                       keys, model)})
 
     # DELTA (k=1 only): Q1 walks the root path; Q2 == Q1 + filter; Q3
     # reconstructs all versions (impractical).
@@ -112,24 +106,17 @@ def run_dataset(spark: SparkSession | None, name: str, *,
                  "q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q1)),
                  "q3_s": q3})
 
-    # SUBCHUNK baseline: one (compressed) group per key. Q2 fetches only
-    # the groups of keys inside the requested 10% range.
+    # SUBCHUNK baseline: one compressed group per key, chunk = key, so the
+    # index-ANDed Q2 fetches exactly the groups of in-range keys. It
+    # reuses DELTA's versions; its ranges are drawn before its keys.
     key_bytes = compress_subchunks(
         ds.records, ds.records[["key", "origin"]].assign(
-            sc=ds.records["key"]), g.depths()).set_index("sc")["comp_bytes"]
-    v_keys = mem_p.groupby("vid")["key"].unique()
-    q1, q2 = [], []
-    for v in vids:
-        ks = v_keys.loc[v]
-        q1.append(model.retrieval_time(len(ks), int(key_bytes.loc[ks].sum())))
-        lo = rng.integers(0, max(1, int(ks.max())))
-        hi = lo + max(1, int(0.1 * ks.max()))
-        sub = ks[(ks >= lo) & (ks <= hi)]
-        q2.append(model.retrieval_time(
-            len(sub), int(key_bytes.loc[sub].sum())))
-    q3 = [model.retrieval_time(1, int(key_bytes.loc[k])) for k in
-          rng.choice(ds.records["key"].unique(), N_QUERIES)]
+            sc=ds.records["key"]), g.depths())
+    idx = IndexSet.from_layout(
+        mem_p, subchunk_partition(ds.records),
+        key_bytes.rename(columns={"sc": "chunk", "comp_bytes": "size"}))
+    ranges = _ranges(vids, max_key, rng)
+    keys = rng.choice(ds.records["key"].unique(), N_QUERIES)
     rows.append({"dataset": name, "k": "all", "algorithm": "SUBCHUNK",
-                 "q1_s": float(np.mean(q1)), "q2_s": float(np.mean(q2)),
-                 "q3_s": float(np.mean(q3))})
+                 **_mean_times(idx, vids, ranges, keys, model)})
     return pd.DataFrame(rows)

@@ -2,10 +2,12 @@
 
 The cluster doubles from 1 to 16 nodes and the data roughly doubles with
 it (more versions). Per configuration we: generate the dataset, run
-BOTTOM-UP, measure the average full-version span and average key span,
-and charge the QUERY cost model — requests are issued in parallel
-(latency / nodes) but chunk processing is sequential (§5.5), so Q1/Q3
-times *rise* with scale, tracking span growth, exactly the paper's shape.
+BOTTOM-UP, index it with :meth:`IndexSet.from_layout`, read the average
+full-version and key spans off the projection lists, and charge the
+planner's Q1/Q3 plans with the QUERY cost model — requests are issued
+in parallel (latency / nodes) but chunk processing is sequential (§5.5),
+so Q1/Q3 times *rise* with scale, tracking span growth, exactly the
+paper's shape.
 
 Datasets G (10k versions × 50K records) and H (2k × 100K) are scaled
 ~1/40 while preserving their versions-to-records ratio.
@@ -18,7 +20,8 @@ import numpy as np
 import pandas as pd
 
 from ..core.bottom_up import bottom_up_partition
-from ..core.span import version_spans_pd
+from ..core.indexes import IndexSet
+from ..core.query import query_stats
 from ..kvs.cost import QUERY_MODEL
 from ..versioned.generator import generate
 from ..versioned.graph import random_tree
@@ -46,29 +49,21 @@ def run_dataset(name: str, *, base_versions: int, n_base: int,
         ds = generate(g, n_base=n_base, pct_update=pct_update, seed=seed)
         mem = membership_pd(g, ds.records, ds.kills)
         asg = bottom_up_partition(g, ds.records, ds.kills, C)
-        joined = mem.merge(asg, on=["key", "origin"])
-        spans = joined.groupby("vid")["chunk"].nunique()
-        chunk_bytes = asg.groupby("chunk")["size"].sum()
+        idx = IndexSet.from_layout(mem, asg, asg)
         model = replace(QUERY_MODEL, concurrency=n_nodes)
-        # Q1 over sampled versions.
-        vids = rng.choice(spans.index.to_numpy(), 15)
-        q1 = []
-        for v in vids:
-            chunks = joined[joined.vid == v]["chunk"].unique()
-            q1.append(model.retrieval_time(
-                len(chunks), int(chunk_bytes.loc[chunks].sum())))
-        # Q3 over sampled keys.
-        key_chunks = asg.groupby("key")["chunk"].unique()
+        vids = rng.choice(sorted(idx.version_to_chunks), 15)
+        q1 = [query_stats(idx.chunks_for_version(v), idx.chunk_bytes, model)
+              .sim_time_s for v in vids]
         keys = rng.choice(asg["key"].unique(), 15)
-        q3 = [model.retrieval_time(
-            len(key_chunks.loc[k]),
-            int(chunk_bytes.loc[key_chunks.loc[k]].sum())) for k in keys]
+        q3 = [query_stats(idx.chunks_for_key(k), idx.chunk_bytes, model)
+              .sim_time_s for k in keys]
         rows.append({
             "dataset": name, "nodes": n_nodes, "versions": n_versions,
-            "avg_version_span": round(float(spans.mean()), 2),
+            "avg_version_span": round(float(np.mean(
+                [len(cs) for cs in idx.version_to_chunks.values()])), 2),
             "q1_s": round(float(np.mean(q1)), 3),
-            "avg_key_span": round(float(
-                key_chunks.map(len).mean()), 2),
+            "avg_key_span": round(float(np.mean(
+                [len(cs) for cs in idx.key_to_chunks.values()])), 2),
             "q3_s": round(float(np.mean(q3)), 4),
         })
     return pd.DataFrame(rows)

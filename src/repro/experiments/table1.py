@@ -42,13 +42,6 @@ def empirical(*, n: int = 60, m_v: int = 400, d: float = 0.1,
     q_keys = rng.integers(0, m_v, 10)
     last = n - 1
 
-    def compressed_key_bytes() -> int:
-        total = 0
-        for _, grp in ds.records.sort_values("origin").groupby("key"):
-            blob = "".join(grp["payload"]).encode("ascii")
-            total += len(zlib.compress(blob, 6))
-        return total
-
     raw = int(ds.records["size"].sum())
     rows = []
 
@@ -79,13 +72,12 @@ def empirical(*, n: int = 60, m_v: int = 400, d: float = 0.1,
                  "point_queries": float(np.mean(spans.loc[q_versions]))})
 
     # SubChunk — all records of a key compressed together.
-    sub_storage = compressed_key_bytes()
     key_bytes = {k: len(zlib.compress("".join(
         grp.sort_values("origin")["payload"]).encode("ascii"), 6))
         for k, grp in ds.records.groupby("key")}
     v_counts = mem.groupby("vid")["key"].nunique()
     v_data = [sum(key_bytes[k] for k in mem[mem.vid == v]["key"]) for v in q_versions]
-    rows.append({"algorithm": "SubChunk", "storage": sub_storage,
+    rows.append({"algorithm": "SubChunk", "storage": sum(key_bytes.values()),
                  "version_data": float(np.mean(v_data)),
                  "version_queries": float(v_counts.loc[q_versions].mean()),
                  "point_data": float(np.mean([key_bytes[k] for k in q_keys])),

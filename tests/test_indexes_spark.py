@@ -1,9 +1,11 @@
 """Tests for the lossy projections and chunk maps (§2.4, Fig 3)."""
 import pytest
 
+from repro.core.baselines import subchunk_partition
 from repro.core.bottom_up import bottom_up_partition
-from repro.core.indexes import build_indexes, chunk_map_df
+from repro.core.indexes import IndexSet, build_indexes, chunk_map_df
 from repro.core.span import assignment_df
+from repro.core.subchunks import build_subchunks, compress_subchunks, sc_dataset
 from repro.versioned.generator import generate
 from repro.versioned.graph import random_tree
 from repro.versioned.membership import membership_pd, membership_spark
@@ -22,6 +24,23 @@ def built(spark):
     return g, ds, mem_p, asg, adf, mem_s, idx
 
 
+def _range_plans(idx, mem_p, asg):
+    """Every Q2 ``(vid, lo, hi)`` over and around the key domain, empty
+    ranges included, with its plan and the exact chunks of the version's
+    in-range records."""
+    placed = mem_p.merge(asg[["key", "origin", "chunk"]], on=["key", "origin"])
+    keys = sorted(asg["key"].unique())
+    bounds = range(keys[0] - 1, keys[-1] + 2)
+    for vid, grp in placed.groupby("vid"):
+        chunk_of = dict(zip(grp["key"].tolist(), grp["chunk"].tolist()))
+        for lo in bounds:
+            exact = set()
+            for hi in bounds:
+                if hi >= lo and hi in chunk_of:
+                    exact.add(chunk_of[hi])
+                yield (vid, lo, hi), idx.chunks_for_range(vid, lo, hi), exact
+
+
 class TestProjections:
     def test_version_projection_exact(self, built):
         g, ds, mem_p, asg, adf, mem_s, idx = built
@@ -35,6 +54,10 @@ class TestProjections:
         for key, grp in asg.groupby("key"):
             assert idx.chunks_for_key(key) == sorted(
                 grp["chunk"].unique().tolist())
+
+    def test_spark_build_equals_pandas_build(self, built):
+        g, ds, mem_p, asg, adf, mem_s, idx = built
+        assert idx == IndexSet.from_layout(mem_p, asg, asg)
 
     def test_key_range_matches_scan(self, built):
         # The bisect lookup returns the chunks a scan of every key finds,
@@ -83,3 +106,43 @@ class TestChunkMaps:
         sample = cm.sample(n=min(200, len(cm)), random_state=0)
         for r in sample.itertuples():
             assert chunk_of[(r.key, r.origin)] == r.chunk
+
+
+class TestPlanner:
+    def test_range_plan_covers_in_range_records(self, built):
+        # Index-ANDing is lossy: the plan may fetch extra chunks of the
+        # version, but never misses one holding an in-range record.
+        g, ds, mem_p, asg, adf, mem_s, idx = built
+        for q, plan, exact in _range_plans(idx, mem_p, asg):
+            assert exact <= set(plan) <= set(idx.chunks_for_version(q[0])), q
+
+    def test_range_plan_exact_when_chunk_is_key(self, built):
+        g, ds, mem_p, asg, adf, mem_s, idx = built
+        sub = subchunk_partition(ds.records)
+        sub_idx = IndexSet.from_layout(mem_p, sub, sub)
+        for q, plan, exact in _range_plans(sub_idx, mem_p, sub):
+            assert set(plan) == exact, q
+
+    def test_record_plan_holds_live_record(self, built):
+        g, ds, mem_p, asg, adf, mem_s, idx = built
+        placed = mem_p.merge(asg, on=["key", "origin"])
+        for r in placed.itertuples():
+            plan = idx.chunks_for_record(r.key, r.vid)
+            assert r.chunk in plan
+            assert set(plan) <= set(idx.chunks_for_version(r.vid))
+
+    def test_chunk_bytes_are_compressed_subchunk_bytes(self):
+        # With k > 1 the partitioner's units are compressed sub-chunks,
+        # and a chunk's bytes are theirs, not its raw records'.
+        g = random_tree(25, deepen_prob=0.85, seed=31)
+        ds = generate(g, n_base=60, pct_update=15, with_payload=True, seed=12)
+        mem_p = membership_pd(g, ds.records, ds.kills)
+        sc = build_subchunks(g, ds.records, k=5)
+        cs = compress_subchunks(ds.records, sc, g.depths())
+        screc, sckill, _ = sc_dataset(g, mem_p, sc, cs)
+        units = bottom_up_partition(g, screc, sckill, C=600)
+        chunk_of = units.rename(columns={"key": "sc"})[["sc", "chunk"]]
+        idx = IndexSet.from_layout(mem_p, sc.merge(chunk_of, on="sc"), units)
+        exp = cs.merge(chunk_of, on="sc").groupby("chunk")["comp_bytes"].sum()
+        assert idx.chunk_bytes == {int(c): int(b) for c, b in exp.items()}
+        assert sum(idx.chunk_bytes.values()) < ds.records["size"].sum()
