@@ -5,26 +5,31 @@ Parquet dataset partitioned by ``chunk``. The per-chunk *chunk map*
 (which versions each record in the chunk belongs to) is co-stored the
 same way, as the paper stores it alongside the chunk.
 
-A store opens each of its two datasets once: the first get after a
-``write`` lists the partition directories and the store keeps the
-resulting DataFrame. A get is a filter on ``chunk`` over that held
-DataFrame, which Spark prunes against the file index it already holds —
-the columnar analogue of a KVS ``get``, with no re-listing. ``write``
-drops the held DataFrames. A handle does not see writes made through
-another handle on the same path; open a new ``ChunkStore`` to read them.
+Writes are bulk work and run in Spark. A get is a keyed read on the
+driver, as the paper's client fetches a chunk by its chunk key:
+:func:`read_chunks` reads the part files under ``chunk=<id>/`` of each
+requested chunk with pyarrow, one chunk after another, and adds the
+``chunk`` column. No file index or DataFrame is held between calls, so a
+get sees every write made to the path, through any handle.
 
 Chunks are distributed over ``n_nodes`` simulated servers by
-``chunk % n_nodes``; every ``get_chunks`` records request/byte traffic so
+``chunk % n_nodes``; every chunk get records request/byte traffic so
 experiments can charge the calibrated :class:`~repro.kvs.cost.CostModel`.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+# Type of the ``chunk`` column: what Spark's partition discovery infers
+# for chunk ids that fit in an int.
+CHUNK_TYPE = pa.int32()
 
 
 @dataclass
@@ -43,6 +48,49 @@ class KVSStats:
             self.per_node_requests[node] = self.per_node_requests.get(node, 0) + 1
 
 
+def _part_files(chunk_dir: str) -> list[str]:
+    """Parquet part files of one chunk directory; none if it is absent."""
+    try:
+        names = os.listdir(chunk_dir)
+    except FileNotFoundError:
+        return []
+    return [os.path.join(chunk_dir, n) for n in sorted(names)
+            if not n.startswith((".", "_"))]
+
+
+def _dataset_schema(path: str) -> pa.Schema:
+    """File schema of the dataset at ``path``, from any one part file."""
+    with os.scandir(path) as entries:
+        for e in entries:
+            if e.name.startswith("chunk=") and (files := _part_files(e.path)):
+                return pq.read_schema(files[0])
+    raise FileNotFoundError(f"no Parquet part files under {path}")
+
+
+def read_chunks(path: str, chunk_ids: list[int],
+                columns: list[str] | None = None) -> pa.Table:
+    """Keyed read of chunks ``chunk_ids`` from the dataset at ``path``.
+
+    Reads every part file under ``chunk=<id>/`` for each id in turn and
+    adds the ``chunk`` column, giving the rows, columns and types that
+    Spark's Parquet reader gives for ``path`` filtered on ``chunk ∈ ids``.
+    Ids with no directory contribute no rows.
+    """
+    parts = []
+    for cid in chunk_ids:
+        for f in _part_files(os.path.join(path, f"chunk={cid}")):
+            with pq.ParquetFile(f) as pf:
+                t = pf.read(columns=columns, use_threads=False)
+            parts.append(t.append_column(
+                "chunk", pa.array([cid] * t.num_rows, CHUNK_TYPE)))
+    if parts:
+        return pa.concat_tables(parts)
+    schema = _dataset_schema(path)
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return schema.append(pa.field("chunk", CHUNK_TYPE)).empty_table()
+
+
 class ChunkStore:
     """Persist chunked records + chunk maps; serve chunk-id gets."""
 
@@ -51,7 +99,6 @@ class ChunkStore:
         self.n_nodes = n_nodes
         self.stats = KVSStats()
         self._chunk_bytes: dict[int, int] = {}
-        self._frames: dict[str, DataFrame] = {}   # dataset path -> opened DataFrame
 
     @property
     def records_path(self) -> str:
@@ -69,7 +116,6 @@ class ChunkStore:
         ``chunk_map``: (chunk, vid, key, origin) — the per-chunk slice of
         the 3-D mapping M (§2.4).
         """
-        self._frames.clear()
         (records_with_chunk.write.mode("overwrite")
          .partitionBy("chunk").parquet(self.records_path))
         if chunk_map is not None:
@@ -82,21 +128,25 @@ class ChunkStore:
     def chunk_bytes(self) -> dict[int, int]:
         return dict(self._chunk_bytes)
 
-    def _open(self, spark: SparkSession, path: str) -> DataFrame:
-        """The dataset at ``path``, listed on first use after a ``write``."""
-        if path not in self._frames:
-            self._frames[path] = spark.read.parquet(path)
-        return self._frames[path]
-
-    def get_chunks(self, spark: SparkSession, chunk_ids) -> DataFrame:
-        """Fetch chunks by id (partition-pruned filter); account traffic."""
+    def fetch_chunks(self, chunk_ids) -> pa.Table:
+        """Get chunks by id (keyed read); account traffic."""
         ids = [int(c) for c in chunk_ids]
         self.stats.record(ids, self._chunk_bytes, self.n_nodes)
-        return self._open(spark, self.records_path).where(F.col("chunk").isin(ids))
+        return read_chunks(self.records_path, ids)
+
+    def fetch_chunk_maps(self, chunk_ids,
+                         columns: list[str] | None = None) -> pa.Table:
+        """The chunk maps of ``chunk_ids`` (keyed read). Not charged: the
+        paper stores a chunk's map alongside the chunk."""
+        return read_chunks(self.maps_path, [int(c) for c in chunk_ids], columns)
+
+    def get_chunks(self, spark: SparkSession, chunk_ids) -> DataFrame:
+        """:meth:`fetch_chunks` as a Spark DataFrame."""
+        return spark.createDataFrame(self.fetch_chunks(chunk_ids))
 
     def get_chunk_maps(self, spark: SparkSession, chunk_ids) -> DataFrame:
-        ids = [int(c) for c in chunk_ids]
-        return self._open(spark, self.maps_path).where(F.col("chunk").isin(ids))
+        """:meth:`fetch_chunk_maps` as a Spark DataFrame."""
+        return spark.createDataFrame(self.fetch_chunk_maps(chunk_ids))
 
     def reset_stats(self) -> None:
         self.stats = KVSStats()

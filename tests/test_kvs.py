@@ -1,4 +1,6 @@
 """Tests for the simulated KVS substrate (ChunkStore + accounting)."""
+import os
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -54,8 +56,7 @@ class TestWriteRead:
 
 class TestHeldHandle:
     def test_rewrite_serves_new_layout(self, spark, tmp_path):
-        # The handle opened by the first get must not outlive the next
-        # write: gets after it see the new partitions only.
+        # Gets after a rewrite see the new partitions only.
         def layout(chunk_of):
             recs = spark.createDataFrame(
                 [(k, 0, 10, c) for k, c in chunk_of.items()],
@@ -114,3 +115,78 @@ class TestAccounting:
         s.record([0, 1, 5], {0: 10, 1: 20, 5: 30}, n_nodes=2)
         assert s.n_requests == 3 and s.n_bytes == 60
         assert s.per_node_requests == {0: 1, 1: 2}
+
+
+def spark_read(spark, path, ids):
+    """Test oracle for the keyed read: Spark's own Parquet reader, with
+    partition discovery and pruning on ``chunk``."""
+    return spark.read.parquet(path).where(F.col("chunk").isin(ids))
+
+
+def schema_of(df):
+    return [(f.name, f.dataType) for f in df.schema.fields]
+
+
+def rows_of(df):
+    return sorted(tuple(r) for r in df.collect())
+
+
+@pytest.fixture(scope="module")
+def split_store(spark, tmp_path_factory):
+    """A store whose chunk directories hold several part files each."""
+    g = random_tree(15, deepen_prob=0.85, seed=22)
+    ds = generate(g, n_base=40, pct_update=15, with_payload=True, seed=11)
+    rdf = ds.spark_records(spark)
+    mem = membership_spark(spark, g, rdf, ds.spark_kills(spark))
+    asg = bottom_up_partition(g, ds.records, ds.kills, C=400)
+    adf = assignment_df(spark, asg)
+    st = ChunkStore(tmp_path_factory.mktemp("split"), n_nodes=3)
+    st.write(rdf.join(adf.select("key", "origin", "chunk"), ["key", "origin"])
+             .repartition(3),
+             chunk_map_df(mem, adf).repartition(3))
+    ids = sorted(int(c) for c in asg["chunk"].unique())
+    return st, ids
+
+
+class TestKeyedRead:
+    """``get_chunks`` / ``get_chunk_maps`` == Spark's Parquet reader."""
+
+    def test_split_chunks_match_spark_reader(self, spark, split_store):
+        st, ids = split_store
+        n_files = [len(os.listdir(os.path.join(st.records_path, f"chunk={c}")))
+                   for c in ids]
+        assert max(n_files) > 1, "fixture must split chunks over part files"
+        for some in (ids, ids[::3]):
+            for got, path in ((st.get_chunks(spark, some), st.records_path),
+                              (st.get_chunk_maps(spark, some), st.maps_path)):
+                want = spark_read(spark, path, some)
+                assert schema_of(got) == schema_of(want)
+                assert rows_of(got) == rows_of(want)
+
+    def test_absent_ids_match_spark_reader(self, spark, split_store):
+        st, ids = split_store
+        some = [ids[0], ids[-1] + 1000, -1]
+        got = st.get_chunks(spark, some)
+        assert rows_of(got) == rows_of(spark_read(spark, st.records_path, some))
+        assert rows_of(st.get_chunks(spark, [ids[-1] + 1000])) == []
+
+    def test_empty_ids_schema_matches_spark_reader(self, spark, split_store):
+        st, _ = split_store
+        for got, path in ((st.get_chunks(spark, []), st.records_path),
+                          (st.get_chunk_maps(spark, []), st.maps_path)):
+            assert got.count() == 0
+            assert schema_of(got) == schema_of(spark_read(spark, path, []))
+
+    def test_handle_sees_rewrite_through_another_handle(self, spark, tmp_path):
+        def recs(chunk_of):
+            return spark.createDataFrame(
+                [(k, 0, 10, c) for k, c in chunk_of.items()],
+                "key long, origin long, size long, chunk long")
+
+        reader = ChunkStore(tmp_path)
+        reader.write(recs({0: 0, 1: 1}))
+        assert rows_of(reader.get_chunks(spark, [0, 1, 2])) == [
+            (0, 0, 10, 0), (1, 0, 10, 1)]
+        ChunkStore(tmp_path).write(recs({0: 2, 1: 2, 2: 1}))
+        assert rows_of(reader.get_chunks(spark, [0, 1, 2])) == [
+            (0, 0, 10, 2), (1, 0, 10, 2), (2, 0, 10, 1)]
